@@ -5,7 +5,8 @@
 //
 // Phase 2 then scales the same search up (4 members over a 4-node pool,
 // ~2.8k canonical candidates) and times it through the parallel
-// BatchEvaluator, writing the throughput numbers to BENCH_search.json.
+// BatchEvaluator, writing the throughput numbers to
+// BENCH_placement_search.json.
 // `--threads N` sets the worker count for both phases; the ranking and the
 // winning placement are bit-identical for every N (see docs/PERF.md).
 #include "bench_common.hpp"
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
                     : "")
             << "\n";
 
-  // Phase 2: the scaled-up search the parallel engine exists for. 4 members
+  // Phase 2: the scaled-up search the parallel evaluator exists for. 4 members
   // x (1 sim + 1 analysis) = 8 slots over a 4-node pool -> 2795 canonical
   // candidates, each infeasibility-checked and (if feasible) replayed.
   const auto big_shape = sched::EnsembleShape::paper_like(4, 1);
@@ -154,6 +155,6 @@ int main(int argc, char** argv) {
                assignment_name(big_shape, assignments[*winner]));
     report.add("best_objective", big_scores[*winner].eval.objective);
   }
-  report.write("BENCH_search.json");
+  report.write("BENCH_placement_search.json");
   return 0;
 }

@@ -58,6 +58,14 @@ constexpr Scenario kScenarios[] = {
     {"cc_faulty", "Cc", 8, 0.05},
 };
 
+// Without a printer gtest shows a Scenario as its raw bytes, pointers
+// included, and ASLR moves those pointers on every run: the discovered
+// ctest names would change from one build to the next.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << sc.name << " config=" << sc.config << " steps=" << sc.steps
+      << " stage_error_prob=" << sc.stage_error_prob;
+}
+
 rt::SimulatedOptions scenario_options(const Scenario& sc) {
   rt::SimulatedOptions options;
   if (sc.stage_error_prob > 0.0) {

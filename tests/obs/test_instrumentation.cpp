@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,13 @@ constexpr SweepCase kCases[] = {
     {"C2.3", 0.0},
     {"Cc", 0.05},
 };
+
+// Without a printer gtest shows a SweepCase as its raw bytes, pointer
+// included, and ASLR moves that pointer on every run: the discovered ctest
+// names would change from one build to the next.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.config << " stage_error_prob=" << c.stage_error_prob;
+}
 
 struct TracedRun {
   rt::ExecutionResult result;

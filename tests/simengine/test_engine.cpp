@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -260,6 +261,58 @@ TEST(Engine, QueueDepthDropsImmediatelyOnCancel) {
   }
   EXPECT_EQ(e.queue_depth(), 0u);
   EXPECT_TRUE(e.empty());
+}
+
+TEST(Engine, CancelledRefLingersInRefsHeldNotQueueDepth) {
+  // queue_depth() counts live pending events; refs_held() also counts the
+  // cancelled ref until its tier is split, sorted or swept.
+  Engine e;
+  const EventId a = e.schedule_at(1.0, [] {});
+  e.schedule_at(2.0, [] {});
+  e.cancel(a);
+  EXPECT_EQ(e.queue_depth(), 1u);
+  EXPECT_EQ(e.refs_held(), 2u);
+}
+
+/// A cascade whose events each schedule `fanout` leaf children `dt` apart
+/// plus, above level 1, one deeper cascade half a step later.
+void cascade(Engine& e, std::vector<std::pair<int, SimTime>>* log, int tag,
+             SimTime t0, SimTime dt, int level, int fanout) {
+  e.schedule_at(t0, [&e, log, tag, dt, level, fanout] {
+    log->emplace_back(tag, e.now());
+    if (level == 0) return;
+    for (int k = 0; k < fanout; ++k) {
+      cascade(e, log, tag, e.now() + dt * (k + 1), dt, 0, fanout);
+    }
+    if (level > 1) {
+      cascade(e, log, tag, e.now() + dt / 2.0, dt, level - 1, fanout);
+    }
+  });
+}
+
+TEST(Engine, CollidingCascadesFireTwinsInScheduleOrder) {
+  // Two identical cascades: every event collides in time with its twin,
+  // so the order is decided purely by the FIFO tie-break. The twin whose
+  // root was scheduled first must fire first at every depth, because its
+  // parent fired first and so scheduled its children first.
+  Engine e;
+  std::vector<std::pair<int, SimTime>> log;
+  cascade(e, &log, 0, 1.0, 0.5, 2, 2);
+  cascade(e, &log, 1, 1.0, 0.5, 2, 2);
+  e.run();
+  std::vector<std::size_t> at[2];
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    at[static_cast<std::size_t>(log[i].first)].push_back(i);
+    if (i > 0) {
+      ASSERT_LE(log[i - 1].second, log[i].second);
+    }
+  }
+  ASSERT_EQ(at[0].size(), at[1].size());
+  ASSERT_EQ(at[0].size(), 6u);  // root, 2 leaves, deeper root, 2 leaves
+  for (std::size_t k = 0; k < at[0].size(); ++k) {
+    EXPECT_EQ(log[at[0][k]].second, log[at[1][k]].second) << "event " << k;
+    EXPECT_LT(at[0][k], at[1][k]) << "event " << k;
+  }
 }
 
 TEST(Engine, CancelDuringMassChurnKeepsOrdering) {

@@ -30,7 +30,6 @@ KNOWN_RULES = {
     "include-parent",
     "iostream-in-header",
     "stage-record-outside-runtime",
-    "lp-state-outside-simengine",
     # Whole-project passes.
     "layer-manifest",
     "layer-unknown-module",

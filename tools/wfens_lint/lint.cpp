@@ -352,17 +352,6 @@ void scan_identifiers(const RuleContext& ctx) {
                      " in an exporter TU: hash-order iteration leaks into "
                      "golden traces (use std::map / a vector, or annotate a "
                      "lookup-only use)");
-    } else if (ident == "LpLane" && !ctx.cls.in_simengine &&
-               !on_include_line(s, i)) {
-      // LpLane is the raw per-lane partition state (calendar queue,
-      // execution log, schedule log). Its invariants — logs appended only
-      // under the owning lane's window, merged only after run() — live in
-      // sim::ParallelEngine; code elsewhere touching a lane directly can
-      // break bit-identical replay without tripping any engine check.
-      ctx.report(line, "lp-state-outside-simengine",
-                 "LpLane is LP-partition internal state; outside "
-                 "src/simengine/ drive the partition through "
-                 "sim::ParallelEngine (schedule_root / run / replay)");
     } else if ((ident == "ArmStats" || ident == "exploration_log") &&
                !ctx.cls.in_sched && !on_include_line(s, i)) {
       // ArmStats (and the exploration schedule that interprets it) is the

@@ -54,11 +54,6 @@
 //                    fault-free objective
 //   --spare N        hold N nodes of the --schedule pool back from
 //                    placement as migration headroom
-//   --engine E       replay engine for simulated runs and probe replays:
-//                    'seq' (default) or 'lp:N' — conservative parallel
-//                    discrete-event replay over N logical-process lanes;
-//                    bit-identical results either way (env WFENS_ENGINE
-//                    supplies the default when the flag is absent)
 //   --trace-out F    also record a structured run trace (engine, DTL,
 //                    scheduler, resilience activity) and write it to F:
 //                    .jsonl = compact span log, anything else = Chrome
@@ -97,8 +92,6 @@ int main(int argc, char** argv) {
                  "                 [--replication K] [--migrate "
                  "builtin|replan]\n"
                  "                 [--risk-aware] [--spare N]\n"
-                 "                 [--engine seq|lp:N] "
-                 "(or env WFENS_ENGINE)\n"
                  "                 [--trace-out trace.json|trace.jsonl]\n";
     return 2;
   }
@@ -119,7 +112,6 @@ int main(int argc, char** argv) {
   bool risk_aware = false;
   int spare_nodes = 0;
   std::string trace_out_path;
-  rt::EngineSelection engine;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--native") {
@@ -179,23 +171,6 @@ int main(int argc, char** argv) {
       spare_nodes = std::atoi(argv[++i]);
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out_path = argv[++i];
-    } else if (arg.rfind("--engine=", 0) == 0 || arg == "--engine") {
-      std::string value;
-      if (arg == "--engine") {
-        if (i + 1 >= argc) {
-          std::cerr << "--engine wants a value (seq|lp:N)\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(9);
-      }
-      try {
-        engine = rt::EngineSelection::parse(value);
-      } catch (const Error& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
     } else if (arg == "--fault-policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "retry") {
@@ -252,7 +227,6 @@ int main(int argc, char** argv) {
     plan_options.recovery = recovery;
     plan_options.risk_aware = risk_aware;
     plan_options.spare_nodes = spare_nodes;
-    plan_options.engine = engine;
 
     if (!schedule_name.empty()) {
       // Strip the config's placement down to its demand and re-plan it.
@@ -293,7 +267,6 @@ int main(int argc, char** argv) {
       rt::SimulatedOptions options;
       options.faults = faults;
       options.recovery = recovery;
-      options.engine = engine;
       // The re-planner must outlive the executor holding its hook.
       std::unique_ptr<sched::RePlanner> replanner;
       if (migrate_mode == "replan" && faults.node_faults()) {
