@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
   const auto platform = wl::cori_like_platform();
   sched::Evaluator evaluator(platform);
-  const sched::PlanOptions options{.threads = threads};
+  sched::PlanOptions options;
+  options.threads = threads;
 
   struct Case {
     int members, analyses, nodes;

@@ -57,8 +57,10 @@ void ThreadPool::worker_loop(int worker) {
 void ThreadPool::for_each_index(
     std::size_t n, const std::function<void(std::size_t, int)>& fn) {
   if (n == 0) return;
-  if (threads_ == 1) {
-    // Inline fast path: sequential, in index order, no synchronization.
+  if (threads_ == 1 || n == 1) {
+    // Inline fast path: sequential, in index order, no synchronization. A
+    // one-index batch takes it on any crew: waking workers that have
+    // nothing to claim would only add the notify / check-out round trip.
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }

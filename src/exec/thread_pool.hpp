@@ -26,7 +26,8 @@ class ThreadPool {
   /// A crew of `threads` workers (>= 1). The calling thread is worker 0 and
   /// participates in every batch; `threads - 1` dedicated threads are
   /// spawned. With threads == 1 no threads are spawned at all and every
-  /// batch runs inline, sequentially, in index order.
+  /// batch runs inline, sequentially, in index order. On any crew, a batch
+  /// of one index also runs inline on the caller as worker 0.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -41,7 +42,9 @@ class ThreadPool {
   /// `worker` is always in [0, threads()), so per-worker state (e.g. one
   /// evaluator per worker) is race-free. If any call throws, the first
   /// exception (in completion order) is rethrown on the caller after the
-  /// batch drains; the remaining indices still run.
+  /// batch drains; the remaining indices still run. Batches of one index,
+  /// and every batch of a one-thread pool, run inline on the caller as
+  /// worker 0 (a one-thread pool's first exception ends its batch).
   void for_each_index(std::size_t n,
                       const std::function<void(std::size_t, int)>& fn);
 

@@ -97,6 +97,12 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     std::uint64_t issued = 0;
     double reward_min = std::numeric_limits<double>::infinity();
     double reward_max = -std::numeric_limits<double>::infinity();
+    // Noise-scale estimate for the range term: the widest within-arm
+    // sample spread seen so far, over every arm with two samples,
+    // eliminated ones included. An arm's spread only grows, so the running
+    // max over sample updates equals a rescan over all arms.
+    double max_spread = 0.0;
+    bool any_resampled = false;
 
     // Issue one sample to each listed arm (batched: replays fan out to the
     // worker pool, but all statistics updates happen right here on the
@@ -134,13 +140,22 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
         arm.max_reward = std::max(arm.max_reward, reward);
         reward_min = std::min(reward_min, reward);
         reward_max = std::max(reward_max, reward);
+        if (arm.stats.n >= 2) {
+          any_resampled = true;
+          max_spread = std::max(max_spread, arm.spread());
+        }
       }
     };
 
     // Round 0: one sample per arm, so every bound is defined.
-    std::vector<std::size_t> all(arms.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    sample_arms(all);
+    std::vector<std::size_t> live(arms.size());
+    std::iota(live.begin(), live.end(), std::size_t{0});
+    sample_arms(live);
+    // Survivors: ascending indices of live arms, all sampled by round 0.
+    // Infeasible arms never enter; eliminated ones leave during the
+    // challenger pass. Ascending order keeps both "lowest index wins ties"
+    // rules exact, so a round costs O(survivors), never O(all arms).
+    std::erase_if(live, [&](std::size_t a) { return !arms[a].alive; });
 
     std::size_t leader = kNone;
     for (;;) {
@@ -148,8 +163,8 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
       // lowest index = lexicographically smallest canonical placement
       // (pick_winner's order).
       leader = kNone;
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        if (!arms[a].alive || arms[a].stats.n == 0) continue;
+      for (const std::size_t a : live) {
+        if (!arms[a].alive) continue;
         if (leader == kNone ||
             arms[a].stats.mean > arms[leader].stats.mean) {
           leader = a;
@@ -160,21 +175,13 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
             "bai-search: no feasible placement within the budget");
       }
 
-      // Noise-scale estimate for the range term: the widest within-arm
-      // sample spread seen so far; before any arm has two samples, fall
-      // back to the global reward spread (wide on purpose — the first
-      // post-init round must not eliminate anything on one draw).
-      double range = 0.0;
-      bool any_resampled = false;
-      for (const Arm& arm : arms) {
-        if (arm.stats.n >= 2) {
-          any_resampled = true;
-          range = std::max(range, arm.spread());
-        }
-      }
-      if (!any_resampled) {
-        range = reward_max > reward_min ? reward_max - reward_min : 0.0;
-      }
+      // Before any arm has two samples, fall back to the global reward
+      // spread (wide on purpose — the first post-init round must not
+      // eliminate anything on one draw).
+      const double range =
+          any_resampled ? max_spread
+                        : (reward_max > reward_min ? reward_max - reward_min
+                                                   : 0.0);
       const double log_term = exploration_log(issued, arms.size());
       const double leader_lb =
           lower_bound(arms[leader].stats, range, log_term);
@@ -182,22 +189,28 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
       // Eliminate arms the leader provably beats; among the rest find the
       // strongest challenger (highest upper bound, ties toward the lowest
       // index). Elimination needs a second sample on both sides — a
-      // one-draw mean says nothing about the noise it carries.
+      // one-draw mean says nothing about the noise it carries. The pass
+      // compacts `live` in place, dropping every arm that is not alive.
       const bool leader_seasoned = arms[leader].stats.n >= 2;
       std::size_t challenger = kNone;
       double challenger_ub = -std::numeric_limits<double>::infinity();
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        if (a == leader || !arms[a].alive || arms[a].stats.n == 0) continue;
-        const double ub = upper_bound(arms[a].stats, range, log_term);
-        if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
-          arms[a].alive = false;
-          continue;
+      std::size_t kept = 0;
+      for (const std::size_t a : live) {
+        if (!arms[a].alive) continue;
+        if (a != leader) {
+          const double ub = upper_bound(arms[a].stats, range, log_term);
+          if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
+            arms[a].alive = false;
+            continue;
+          }
+          if (challenger == kNone || ub > challenger_ub) {
+            challenger = a;
+            challenger_ub = ub;
+          }
         }
-        if (challenger == kNone || ub > challenger_ub) {
-          challenger = a;
-          challenger_ub = ub;
-        }
+        live[kept++] = a;
       }
+      live.resize(kept);
       if (challenger == kNone) break;      // leader dominates all survivors
       if (issued >= sample_budget) break;  // budget exhausted
 

@@ -163,7 +163,9 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
   });
 
   // Sequential phase 2: memoize fresh scores, then resolve duplicates.
+  std::size_t infeasible = 0;  // misses rejected by validation, not replayed
   for (const std::size_t i : miss) {
+    if (!out[i].feasible) ++infeasible;
     cache_.emplace(keys[i], out[i]);
     if (shared_) shared_->insert(keys[i], {out[i].feasible, out[i].eval});
   }
@@ -178,7 +180,9 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
     obs::span("scheduler", "batch", b0, b1);
     obs::add_counter("sched.candidates", b1, static_cast<double>(n));
     obs::add_counter("sched.evaluations", b1,
-                     static_cast<double>(miss.size()));
+                     static_cast<double>(miss.size() - infeasible));
+    obs::add_counter("sched.infeasible", b1,
+                     static_cast<double>(infeasible));
     obs::add_counter("sched.memo_hits", b1,
                      static_cast<double>(cache_hits_ - hits_before));
     obs::add_counter("sched.shared_hits", b1,
@@ -221,21 +225,27 @@ std::vector<BatchScore> BatchEvaluator::score_specs(
 std::vector<BatchScore> BatchEvaluator::score_arm_samples(
     const EnsembleShape& shape, const std::vector<Assignment>& arms,
     const std::vector<ArmSample>& samples, std::uint64_t probe_steps) {
-  // Build each referenced arm's spec and base digest once. The base digest
-  // is the ordinary memo key (platform + scenario + probe depth +
-  // canonical placement + demand); sample seeds and sample keys both
-  // derive from it, which is what makes a sample a value: the same
-  // (candidate, index) names the same replay everywhere.
-  std::vector<rt::EnsembleSpec> specs(arms.size());
-  std::vector<std::uint64_t> base_keys(arms.size(), 0);
-  std::vector<bool> built(arms.size(), false);
+  // Build each referenced arm's spec and base digest once, in one slot per
+  // distinct arm (first-appearance order): a 1-2 sample search round costs
+  // what it draws, not what the whole arm set would. The base digest is
+  // the ordinary memo key (platform + scenario + probe depth + canonical
+  // placement + demand); sample seeds and sample keys both derive from
+  // it, which is what makes a sample a value: the same (candidate, index)
+  // names the same replay everywhere.
+  std::unordered_map<std::size_t, std::size_t> slot_of;
+  std::vector<std::size_t> sample_slot;
+  sample_slot.reserve(samples.size());
+  std::vector<rt::EnsembleSpec> specs;
+  std::vector<std::uint64_t> base_keys;
   for (const ArmSample& s : samples) {
     WFE_REQUIRE(s.arm < arms.size(), "sample references an unknown arm");
-    if (built[s.arm]) continue;
-    specs[s.arm] = place(shape, arms[s.arm]);
-    base_keys[s.arm] =
-        memo_key(specs[s.arm], probe_steps, platform_fp_, scenario_fp_);
-    built[s.arm] = true;
+    const auto [it, fresh] = slot_of.emplace(s.arm, specs.size());
+    if (fresh) {
+      specs.push_back(place(shape, arms[s.arm]));
+      base_keys.push_back(
+          memo_key(specs.back(), probe_steps, platform_fp_, scenario_fp_));
+    }
+    sample_slot.push_back(it->second);
   }
 
   std::vector<std::uint64_t> keys;
@@ -244,11 +254,12 @@ std::vector<BatchScore> BatchEvaluator::score_arm_samples(
   seeds.reserve(samples.size());
   std::vector<const rt::EnsembleSpec*> spec_ptrs;
   spec_ptrs.reserve(samples.size());
-  for (const ArmSample& s : samples) {
-    const std::uint64_t seed = Fnv1a::mix(base_keys[s.arm], s.index);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::uint64_t base = base_keys[sample_slot[i]];
+    const std::uint64_t seed = Fnv1a::mix(base, samples[i].index);
     seeds.push_back(seed);
-    keys.push_back(Fnv1a::mix(base_keys[s.arm], seed));
-    spec_ptrs.push_back(&specs[s.arm]);
+    keys.push_back(Fnv1a::mix(base, seed));
+    spec_ptrs.push_back(&specs[sample_slot[i]]);
   }
   return score_keyed(keys, spec_ptrs, probe_steps, &seeds);
 }

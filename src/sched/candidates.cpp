@@ -1,23 +1,10 @@
 #include "sched/candidates.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace wfe::sched {
-
-namespace {
-
-struct AssignmentHash {
-  std::size_t operator()(const Assignment& a) const {
-    Fnv1a h;
-    for (int v : a) h.add(v);
-    return static_cast<std::size_t>(h.digest());
-  }
-};
-
-}  // namespace
 
 std::size_t slot_count(const EnsembleShape& shape) {
   std::size_t slots = 0;
@@ -45,22 +32,27 @@ std::vector<Assignment> enumerate_assignments(std::size_t slots,
                                               int node_pool) {
   WFE_REQUIRE(slots >= 1, "need at least one slot");
   WFE_REQUIRE(node_pool >= 1, "need at least one node in the pool");
+  // The canonical forms are exactly the restricted growth strings: a[0] is
+  // 0 and each a[i] is at most one above the largest label before it (and
+  // below node_pool). Walking them like an odometer, last slot fastest,
+  // emits each class once, in lexicographic order, at O(output).
   std::vector<Assignment> out;
-  std::unordered_set<Assignment, AssignmentHash> seen;
-  Assignment assignment(slots, 0);
+  Assignment a(slots, 0);
+  std::vector<int> prefix_max(slots, 0);  // max(a[0..i])
   for (;;) {
-    Assignment canon = canonical(assignment, node_pool);
-    if (seen.insert(canon).second) out.push_back(std::move(canon));
-    // Odometer increment: last slot fastest, i.e. lexicographic order. The
-    // canonical form of a class is its lexicographically smallest member,
-    // so classes are discovered in lex order of their canonical forms.
-    std::size_t pos = slots;
-    while (pos > 0) {
-      if (++assignment[pos - 1] < node_pool) break;
-      assignment[pos - 1] = 0;
+    out.push_back(a);
+    std::size_t pos = slots - 1;
+    while (pos > 0 &&
+           a[pos] >= std::min(node_pool - 1, prefix_max[pos - 1] + 1)) {
       --pos;
     }
     if (pos == 0) break;
+    ++a[pos];
+    prefix_max[pos] = std::max(prefix_max[pos - 1], a[pos]);
+    for (std::size_t i = pos + 1; i < slots; ++i) {
+      a[i] = 0;
+      prefix_max[i] = prefix_max[pos];
+    }
   }
   return out;
 }

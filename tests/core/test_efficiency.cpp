@@ -75,7 +75,9 @@ TEST(Efficiency, BoundedByOne) {
     const double e = computational_efficiency(m);
     EXPECT_LE(e, 1.0 + 1e-12);
     EXPECT_GT(e, -1.0);
-    if (k == 1) EXPECT_GT(e, 0.0);
+    if (k == 1) {
+      EXPECT_GT(e, 0.0);
+    }
   }
 }
 

@@ -49,7 +49,9 @@ TEST(Heuristic, PicksMaxEfficiencyAmongFeasible) {
   EXPECT_TRUE(chosen.feasible);
   // No feasible candidate has higher efficiency.
   for (const auto& c : result.candidates) {
-    if (c.feasible) EXPECT_LE(c.efficiency, chosen.efficiency + 1e-12);
+    if (c.feasible) {
+      EXPECT_LE(c.efficiency, chosen.efficiency + 1e-12);
+    }
   }
   // And the chosen one is the boundary: one fewer core is infeasible.
   if (result.cores > 1) {

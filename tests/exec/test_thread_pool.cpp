@@ -176,6 +176,35 @@ TEST(ThreadPool, SingleThreadPoolSpawnsNoThreads) {
   });
 }
 
+TEST(ThreadPool, SingleIndexBatchRunsInlineOnAnyCrew) {
+  // A one-index batch never wakes the crew: it runs on the caller's own
+  // thread as worker 0, and its exception reaches the caller unchanged.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    int calls = 0;
+    pool.for_each_index(1, [&](std::size_t i, int worker) {
+      EXPECT_EQ(i, 0u);
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++calls;
+    });
+    EXPECT_EQ(calls, 1);
+  }
+  try {
+    pool.for_each_index(1, [&](std::size_t, int) {
+      throw std::runtime_error("single probe failed");
+    });
+    FAIL() << "expected the task's exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "single probe failed");
+  }
+  // The crew is untouched and still runs a wide batch.
+  std::atomic<int> after{0};
+  pool.for_each_index(64, [&](std::size_t, int) { ++after; });
+  EXPECT_EQ(after.load(), 64);
+}
+
 TEST(ThreadPool, ExceptionTypeAndMessageSurviveRethrow) {
   ThreadPool pool(3);
   try {

@@ -264,25 +264,32 @@ TEST_P(SchedulerSweep, BatchEvaluationEmitsSchedulerTracks) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(log.str(batch[0].name), "batch");
 
-  // Candidate/evaluation counters mirror the evaluator's own accounting.
+  // Candidate/evaluation counters mirror the evaluator's own accounting:
+  // every fresh (uncached) candidate is either replayed, counted by
+  // sched.evaluations exactly as BatchEvaluator::evaluations() counts it,
+  // or rejected by validation and counted by sched.infeasible.
   double candidates_counted = 0.0, evaluations_counted = 0.0;
+  double infeasible_counted = 0.0;
   bool saw_worker_busy = false;
   for (const obs::CounterValue& c : log.counters) {
     if (c.name == "sched.candidates") candidates_counted = c.value;
     if (c.name == "sched.evaluations") evaluations_counted = c.value;
+    if (c.name == "sched.infeasible") infeasible_counted = c.value;
     if (c.name.rfind("sched.w", 0) == 0) saw_worker_busy = true;
   }
-  // sched.evaluations counts items that entered the parallel phase
-  // (feasible or not); the evaluator's own count covers only feasible
-  // replays, so it is bounded by the counter.
-  std::size_t fresh = 0;
+  std::size_t fresh = 0, fresh_infeasible = 0;
   for (const auto& s : scores) {
-    if (!s.cached) ++fresh;
+    if (s.cached) continue;
+    ++fresh;
+    if (!s.feasible) ++fresh_infeasible;
   }
   EXPECT_EQ(candidates_counted, static_cast<double>(candidates.size()));
-  EXPECT_EQ(evaluations_counted, static_cast<double>(fresh));
-  EXPECT_LE(evaluator.evaluations(), fresh);
+  EXPECT_EQ(evaluations_counted,
+            static_cast<double>(evaluator.evaluations()));
+  EXPECT_EQ(infeasible_counted, static_cast<double>(fresh_infeasible));
+  EXPECT_EQ(evaluator.evaluations() + fresh_infeasible, fresh);
   EXPECT_GT(evaluator.evaluations(), 0u);
+  EXPECT_GT(fresh_infeasible, 0u);
   EXPECT_TRUE(saw_worker_busy);
 
   // One per-worker evaluate span per parallel-phase item.

@@ -256,7 +256,9 @@ TEST_P(CompetitorSweep, SlowdownMonotoneInCompetitorCount) {
   double prev = 0.0;
   for (int i = 0; i <= GetParam(); ++i) {
     const StageCost c = compute_stage_cost(spec(), ana_like(), 8, comp);
-    if (i > 0) EXPECT_GE(c.slowdown, prev - 1e-12);
+    if (i > 0) {
+      EXPECT_GE(c.slowdown, prev - 1e-12);
+    }
     prev = c.slowdown;
     comp.push_back({ana_like(), 8});
   }

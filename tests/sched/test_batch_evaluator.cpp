@@ -20,6 +20,12 @@ namespace {
 
 plat::PlatformSpec platform() { return wl::cori_like_platform(); }
 
+PlanOptions with_threads(int threads) {
+  PlanOptions options;
+  options.threads = threads;
+  return options;
+}
+
 /// Flatten a placed spec's node sets into a comparable signature.
 std::string placement_signature(const rt::EnsembleSpec& spec) {
   std::ostringstream out;
@@ -54,7 +60,9 @@ TEST(Candidates, EnumerationIsCanonicalDedupedAndLexOrdered) {
   ASSERT_EQ(all.size(), 5u);
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(canonical(all[i], 3), all[i]);
-    if (i > 0) EXPECT_LT(all[i - 1], all[i]);  // strictly lex-increasing
+    if (i > 0) {
+      EXPECT_LT(all[i - 1], all[i]);  // strictly lex-increasing
+    }
   }
   EXPECT_EQ(all.front(), (Assignment{0, 0, 0}));
   EXPECT_EQ(all.back(), (Assignment{0, 1, 2}));
@@ -174,11 +182,11 @@ TEST(BatchEvaluator, CountsEngineEvents) {
 TEST(ParallelEquivalence, ExhaustiveIsThreadCountInvariant) {
   for (const auto& shape :
        {EnsembleShape::paper_like(2, 1), EnsembleShape::paper_like(2, 2)}) {
-    const auto reference = Exhaustive().plan(shape, platform(), {3},
-                                             PlanOptions{.threads = 1});
+    const auto reference =
+        Exhaustive().plan(shape, platform(), {3}, with_threads(1));
     for (int threads : {2, 8}) {
       const auto parallel = Exhaustive().plan(shape, platform(), {3},
-                                              PlanOptions{.threads = threads});
+                                              with_threads(threads));
       EXPECT_EQ(placement_signature(parallel.spec),
                 placement_signature(reference.spec))
           << "threads=" << threads;
@@ -193,10 +201,10 @@ TEST(ParallelEquivalence, ExhaustiveIsThreadCountInvariant) {
 TEST(ParallelEquivalence, GreedyRefineIsThreadCountInvariant) {
   const auto shape = EnsembleShape::paper_like(2, 2);
   const auto reference =
-      GreedyRefine().plan(shape, platform(), {3}, PlanOptions{.threads = 1});
+      GreedyRefine().plan(shape, platform(), {3}, with_threads(1));
   for (int threads : {2, 8}) {
     const auto parallel = GreedyRefine().plan(shape, platform(), {3},
-                                              PlanOptions{.threads = threads});
+                                              with_threads(threads));
     EXPECT_EQ(placement_signature(parallel.spec),
               placement_signature(reference.spec))
         << "threads=" << threads;

@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
 
   try {
     // --json also records a session: the scheduler cost counters
-    // (sched.evaluations / memo_hits / shared_hits) land in the report.
+    // (sched.evaluations / infeasible / memo_hits / shared_hits) land in
+    // the report.
     std::unique_ptr<obs::Recorder> obs_recorder;
     std::unique_ptr<obs::Session> obs_session;
     if (!trace_out_path.empty() || json_out) {
